@@ -39,11 +39,29 @@ Transport modes:
 * ``python benchmarks/bench_service_throughput.py --check-transport``
   is the CI gate: shm vs pickle throughput measured in adjacent pairs
   (see :func:`check_transport` for the methodology), failing when the
-  zero-copy path loses its edge.  Results merge into
-  ``BENCH_service.json`` under ``transport``.
+  zero-copy path falls behind pickled pipes.  Both transports apply
+  through the same frame kernel, so the ratio credits the transport
+  alone.  Results merge into ``BENCH_service.json`` under
+  ``transport``.
+* ``python benchmarks/bench_service_throughput.py --transport-grid``
+  measures pickle vs shm on the process executor across flush sizes
+  and worker counts (no gate), merging the rows into
+  ``BENCH_service.json`` under ``transport_grid``.
+
+Kernel mode:
+
+* ``python benchmarks/bench_service_throughput.py --check-kernel`` is
+  the CI gate on the frame kernel: serial-engine SHE-CM throughput
+  divided by hashing throughput on the same keys, measured in adjacent
+  pairs (see :func:`check_kernel`).  Results merge into
+  ``BENCH_service.json`` under ``kernel``.
 """
 
 import json
+import os
+import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -51,6 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.common.hashing import HashFamily
 from repro.core import SheCountMin
 from repro.datasets import BoundedZipf
 from repro.metrics import measure_throughput
@@ -69,7 +88,7 @@ def _stream(n_items: int = N_ITEMS):
 
 
 def _engine_mips(stream, shards, executor, num_workers=None, obs=False,
-                 wal="off", transport="pickle"):
+                 wal="off", transport="pickle", flush_batch_size=CHUNK):
     """Ingest Mips for one engine configuration.
 
     ``wal`` is ``"off"`` (no log) or a fsync policy (``"interval"`` /
@@ -86,7 +105,7 @@ def _engine_mips(stream, shards, executor, num_workers=None, obs=False,
             window=WINDOW,
             size=SIZE,
             num_shards=shards,
-            flush_batch_size=CHUNK,
+            flush_batch_size=flush_batch_size,
             flush_interval_s=None,
             transport=transport,
             sketch_kwargs={"seed": 7},
@@ -103,6 +122,12 @@ def _engine_mips(stream, shards, executor, num_workers=None, obs=False,
     return stream.size / seconds / 1e6
 
 
+#: floor of :func:`check_kernel`'s median engine/hashing ratio.  On a
+#: 2-vCPU container, three runs of 5 pairs each read medians of
+#: 0.079-0.091 when every serial insert went through a per-touch
+#: ``np.add.at`` kernel, and 0.224-0.261 with the current kernel
+KERNEL_MIN_RATIO = 0.15
+
 #: repeats per throughput row — rows report the best of these, so one
 #: noisy-neighbour stall cannot poison the committed trajectory
 BEST_OF = 3
@@ -111,6 +136,61 @@ BEST_OF = 3
 def _best_engine_mips(*args, k: int = BEST_OF, **kwargs) -> float:
     """Best-of-``k`` :func:`_engine_mips` for one configuration."""
     return max(_engine_mips(*args, **kwargs) for _ in range(k))
+
+
+def _hash_mips(stream, num_hashes: int = 8, m: int = SIZE) -> float:
+    """Throughput of SHE-CM's hashing step alone on ``stream`` — the
+    same ``HashFamily.indices`` call, chunking and ``k`` the engine's
+    shards run — the machine-speed yardstick of :func:`check_kernel`."""
+    fam = HashFamily(num_hashes, seed=7)
+    started = time.perf_counter()
+    for lo in range(0, stream.size, CHUNK):
+        fam.indices(stream[lo : lo + CHUNK], m)
+    return stream.size / (time.perf_counter() - started) / 1e6
+
+
+def _fingerprint() -> dict:
+    """Machine/build stamp carried by rows other runs get compared to."""
+    def git(*args):
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=_REPO_ROOT, capture_output=True,
+                text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return ""
+
+    sha = git("rev-parse", "HEAD") or "unknown"
+    if git("status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": sha,
+    }
+
+
+def _merge_bench_json(section: str, value) -> None:
+    """Replace one section of ``BENCH_service.json``, keeping the rest."""
+    path = _REPO_ROOT / "BENCH_service.json"
+    payload = (
+        json.loads(path.read_text())
+        if path.exists()
+        else {"benchmark": "bench_service_throughput"}
+    )
+    payload[section] = value
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _write_bench_json(rows, obs_mode, extra=None, n_items=N_ITEMS) -> None:
@@ -360,13 +440,7 @@ def check_windowed_overhead(
             f"note: raw overhead {raw_pct:.2f}% is negative — below the "
             "noise floor, reported as 0"
         )
-    path = _REPO_ROOT / "BENCH_service.json"
-    payload = (
-        json.loads(path.read_text())
-        if path.exists()
-        else {"benchmark": "bench_service_throughput"}
-    )
-    payload["windowed_overhead"] = {
+    _merge_bench_json("windowed_overhead", {
         "n_items": n_items,
         "shards": shards,
         "trials": trials,
@@ -375,8 +449,7 @@ def check_windowed_overhead(
         "overhead_pct": round(pct, 2),
         "overhead_raw_pct": round(raw_pct, 2),
         "target_pct": 2.0,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    })
     # generous CI-noise margin; locally this lands well under the target
     limit = 15.0
     if pct > limit:
@@ -421,13 +494,7 @@ def check_wal_overhead(
             f"wal {mode:<8} {best[mode]:.2f} Mips  "
             f"(overhead {overhead[mode]:.2f}%)"
         )
-    path = _REPO_ROOT / "BENCH_service.json"
-    payload = (
-        json.loads(path.read_text())
-        if path.exists()
-        else {"benchmark": "bench_service_throughput"}
-    )
-    payload["wal_overhead"] = {
+    _merge_bench_json("wal_overhead", {
         "n_items": n_items,
         "shards": shards,
         "trials": trials,
@@ -436,8 +503,7 @@ def check_wal_overhead(
             m: [round(x, 3) for x in vals] for m, vals in runs.items()
         },
         "overhead_pct": {m: round(v, 2) for m, v in overhead.items()},
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    })
     limits = {"interval": 30.0, "always": 80.0}
     rc = 0
     for mode, limit in limits.items():
@@ -453,8 +519,8 @@ def check_wal_overhead(
 
 
 def check_transport(
-    n_items: int = N_ITEMS, shards: int = 4, trials: int = 4,
-    min_ratio: float = 1.8,
+    n_items: int = N_ITEMS, shards: int = 4, trials: int = 5,
+    min_ratio: float = 0.8,
 ) -> int:
     """CI gate mode: shm vs pickle flush throughput on the process pool.
 
@@ -465,15 +531,19 @@ def check_transport(
     in adjacent pairs (pickle then shm, back to back) after one
     unmeasured warmup pair, and the gate takes the best per-pair ratio
     — load drift that is slow relative to one pair cancels out of the
-    quotient.  On the reference container the per-pair ratio has a
-    median of ~1.9-2.0x and a best of 2.0-2.7x; the gate sits at 1.8x
-    to leave noise margin below the typical measurement while still
-    catching a real regression of the zero-copy path (a broken shm
-    fast path collapses the ratio to ~1.0x).  Results merge into
+    quotient.
+
+    Both transports apply batches through the same frame kernel, so
+    the ratio prices the data plane alone.  Over 20 measured pairs (4
+    runs of 5) on a 2-vCPU container the per-pair ratio read 0.66-1.34
+    and each run's best 1.01-1.34; the gate sits at 0.8x, so it fails
+    when shm is a clear net cost over pickled pipes in every pair, not
+    when it merely stops paying.  The kernel's own speed is gated by
+    :func:`check_kernel`.  Results merge into
     ``BENCH_service.json`` under ``transport`` with one row per
     transport plus the per-pair ratios.
     """
-    trials = max(trials, 3)
+    trials = max(trials, 5)
     stream = _stream(n_items)
     for mode in ("pickle", "shm"):  # warmup pair: spawn pools, fault pages
         _engine_mips(stream, shards, "process", num_workers=shards, transport=mode)
@@ -500,20 +570,15 @@ def check_transport(
         + " ".join(f"{r:.2f}" for r in ratios)
         + f"  -> best {ratio:.2f}x  (gate >= {min_ratio}x)"
     )
-    path = _REPO_ROOT / "BENCH_service.json"
-    payload = (
-        json.loads(path.read_text())
-        if path.exists()
-        else {"benchmark": "bench_service_throughput"}
-    )
-    payload["transport"] = {
+    _merge_bench_json("transport", {
         "n_items": n_items,
         "shards": shards,
         "trials": trials,
         "methodology": (
             "adjacent pickle/shm pairs after one warmup pair; "
-            "gate on best per-pair ratio"
+            "gate on best per-pair ratio; one frame kernel on both sides"
         ),
+        "fingerprint": _fingerprint(),
         "rows": [
             {
                 "configuration": f"engine process x{shards}",
@@ -527,12 +592,122 @@ def check_transport(
         "ratio_runs": [round(r, 3) for r in ratios],
         "shm_over_pickle": round(ratio, 3),
         "min_ratio": min_ratio,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    })
     if ratio < min_ratio:
         print(
             f"FAIL: shm transport is only {ratio:.2f}x the pickle "
             f"baseline (gate >= {min_ratio}x)"
+        )
+        return 1
+    print("OK")
+    return 0
+
+
+def transport_grid(
+    n_items: int = N_ITEMS,
+    flush_sizes=(1024, 8192, 32768),
+    workers=(2, 4),
+    best_of: int = BEST_OF,
+) -> int:
+    """Pickle vs shm on the process executor across flush sizes and
+    worker counts (one shard per worker).  Evidence, not a gate: each
+    cell runs the two transports in adjacent pairs and keeps the best
+    of ``best_of``; every row carries the machine/build fingerprint.
+    """
+    stream = _stream(n_items)
+    fp = _fingerprint()
+    rows = []
+    for w in workers:
+        for fb in flush_sizes:
+            runs: dict[str, list[float]] = {"pickle": [], "shm": []}
+            for _ in range(best_of):
+                for mode in runs:
+                    runs[mode].append(_engine_mips(
+                        stream, w, "process", num_workers=w,
+                        transport=mode, flush_batch_size=fb,
+                    ))
+            for mode, vals in runs.items():
+                rows.append({
+                    "executor": "process",
+                    "workers": w,
+                    "flush_batch_size": fb,
+                    "transport": mode,
+                    "mips": round(max(vals), 3),
+                    "mips_runs": [round(x, 3) for x in vals],
+                    **fp,
+                })
+            print(
+                f"process x{w} flush {fb:>6}: pickle "
+                f"{max(runs['pickle']):.2f}  shm {max(runs['shm']):.2f} Mips"
+            )
+    _merge_bench_json("transport_grid", {
+        "n_items": n_items,
+        "best_of": best_of,
+        "methodology": (
+            "adjacent pickle/shm pairs per cell; best of best_of; "
+            "one shard per worker"
+        ),
+        "rows": rows,
+    })
+    return 0
+
+
+def check_kernel(
+    n_items: int = N_ITEMS, shards: int = 4, trials: int = 5,
+    min_ratio: float = KERNEL_MIN_RATIO,
+) -> int:
+    """CI gate mode: frame-kernel throughput, normalised by hashing.
+
+    Serial-engine SHE-CM ingest Mips divided by the Mips of SHE-CM's
+    hashing step alone (``HashFamily.indices``, same keys, chunking and
+    ``k``) measured right after it.  Both sides are single-threaded
+    NumPy on the same data, so machine speed cancels out of the
+    quotient and what is left is how much the engine and the frame
+    kernel cost on top of hashing.  Pairs are adjacent, after one
+    unmeasured warmup pair; the gate takes the median per-pair ratio.
+    See ``KERNEL_MIN_RATIO`` for the bound.  Results merge into
+    ``BENCH_service.json`` under ``kernel``.
+    """
+    trials = max(trials, 5)
+    stream = _stream(n_items)
+    _engine_mips(stream, shards, "serial")  # warmup pair
+    _hash_mips(stream)
+    engine_runs: list[float] = []
+    hash_runs: list[float] = []
+    for _ in range(trials):
+        engine_runs.append(_engine_mips(stream, shards, "serial"))
+        hash_runs.append(_hash_mips(stream))
+    ratios = [e / h for e, h in zip(engine_runs, hash_runs)]
+    ratio = statistics.median(ratios)
+    print(
+        f"engine serial x{shards}: "
+        + " ".join(f"{m:.2f}" for m in engine_runs) + " Mips"
+    )
+    print("hashing alone:   " + " ".join(f"{m:.2f}" for m in hash_runs) + " Mips")
+    print(
+        "engine/hashing per-pair ratios: "
+        + " ".join(f"{r:.3f}" for r in ratios)
+        + f"  -> median {ratio:.3f}  (gate >= {min_ratio})"
+    )
+    _merge_bench_json("kernel", {
+        "n_items": n_items,
+        "shards": shards,
+        "trials": trials,
+        "methodology": (
+            "adjacent serial-engine / HashFamily.indices pairs after one "
+            "warmup pair; gate on the median per-pair ratio"
+        ),
+        "fingerprint": _fingerprint(),
+        "engine_mips_runs": [round(x, 3) for x in engine_runs],
+        "hash_mips_runs": [round(x, 3) for x in hash_runs],
+        "ratio_runs": [round(r, 4) for r in ratios],
+        "engine_over_hashing": round(ratio, 4),
+        "min_ratio": min_ratio,
+    })
+    if ratio < min_ratio:
+        print(
+            f"FAIL: the engine runs at {ratio:.3f}x hashing throughput "
+            f"(gate >= {min_ratio})"
         )
         return 1
     print("OK")
@@ -549,7 +724,12 @@ if __name__ == "__main__":
         # 400k items: long enough runs that shm throughput is stable
         # (short ~0.1s runs swing +-20% under ambient load)
         sys.exit(check_transport(n_items=400_000))
+    if "--check-kernel" in sys.argv:
+        sys.exit(check_kernel(n_items=400_000))
+    if "--transport-grid" in sys.argv:
+        sys.exit(transport_grid(n_items=400_000))
     sys.exit(
         "usage: python bench_service_throughput.py "
-        "--check-obs | --check-wal | --check-transport"
+        "--check-obs | --check-wal | --check-transport | --check-kernel "
+        "| --transport-grid"
     )

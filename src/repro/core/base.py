@@ -16,6 +16,7 @@ from typing import Literal
 import numpy as np
 
 from repro.common.validation import as_key_array, require_non_negative_int
+from repro.core.batch import apply_batch
 from repro.core.config import SheConfig
 from repro.core.hardware_frame import HardwareFrame
 from repro.core.software_frame import SoftwareFrame
@@ -23,6 +24,9 @@ from repro.core.software_frame import SoftwareFrame
 __all__ = ["FrameKind", "make_frame", "SheSketchBase", "sized_from_memory"]
 
 FrameKind = Literal["hardware", "software"]
+
+#: items per kernel call; at least the engine's default flush batch
+_CHUNK = 1 << 14
 
 
 def make_frame(
@@ -92,8 +96,9 @@ def sized_from_memory(cls, window: int, memory_bytes: int, **kwargs):
 class SheSketchBase:
     """Item clock + common insert/query scaffolding for SHE sketches.
 
-    Subclasses implement ``_insert_at(keys, times)`` to place a batch of
-    keys whose arrival times are consecutive integers.  The base class
+    Subclasses implement ``_touch_columns(keys, times)``, their hashing
+    step; every insert then runs through the one frame kernel,
+    :func:`repro.core.batch.apply_batch`.  The base class
     maintains ``self.t`` — the count-based clock: the number of items
     inserted so far, which is also the arrival time of the *next* item.
     """
@@ -217,51 +222,18 @@ class SheSketchBase:
         self.t = int(times[-1]) + 1
 
     def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
-        raise NotImplementedError
-
-    # -- columnar fast path --------------------------------------------------
+        # fixed-size chunks bound the kernel's retained scratch memory;
+        # an engine flush (8192 items by default) stays one kernel call,
+        # and chunking is exact (tests/core/test_batch.py)
+        for lo in range(0, keys.size, _CHUNK):
+            cols = self._touch_columns(keys[lo : lo + _CHUNK], times[lo : lo + _CHUNK])
+            apply_batch(self.frame, *cols)
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        """``(touch_times, cell_idx, values, kind)`` for a batch, or ``None``.
+        """``(times, cell_idx, values, kind)`` for one batch.
 
-        Frame-backed sketches override this with their hashing step;
-        both insert paths (legacy ``apply_batch`` and the columnar
-        ``apply_columnar``) then consume identical columns.  Returning
-        ``None`` means "no columnar form" and the columnar entry falls
-        back to ``_insert_at``.
+        The sketch's hashing step: which cells each key touches, and
+        with what operand, in the :func:`repro.core.batch.apply_batch`
+        layout (``times`` per item with ``cell_idx`` item-major).
         """
-        return None
-
-    def _insert_columnar(self, keys: np.ndarray, times: np.ndarray) -> None:
-        from repro.core.batch import apply_columnar
-
-        cols = self._touch_columns(keys, times)
-        if cols is None:
-            self._insert_at(keys, times)
-        else:
-            apply_columnar(self.frame, *cols)
-
-    def insert_at_columnar(self, keys, times) -> None:
-        """Columnar twin of :meth:`insert_at` (bit-identical results).
-
-        The shared-memory transport's apply entry: consumes ``(keys,
-        times)`` column batches straight from ring-buffer views via the
-        optimised :func:`repro.core.batch.apply_columnar` kernel.
-        """
-        arr = as_key_array(keys)
-        times = np.asarray(times, dtype=np.int64)
-        if arr.shape != times.shape:
-            raise ValueError(
-                f"keys ({arr.shape}) and times ({times.shape}) must align"
-            )
-        if arr.size == 0:
-            return
-        if int(times[0]) < self.t:
-            raise ValueError(
-                f"times must start at or after the clock ({self.t}), "
-                f"got {int(times[0])}"
-            )
-        if np.any(np.diff(times) < 0):
-            raise ValueError("times must be non-decreasing")
-        self._insert_columnar(arr, times)
-        self.t = int(times[-1]) + 1
+        raise NotImplementedError

@@ -167,13 +167,15 @@ class EngineConfig:
             cache only).  See docs/service.md "Durability model".
         wal_fsync_interval_s: max fsync staleness for ``"interval"``.
         wal_segment_bytes: WAL segment rotation size.
-        transport: how flush batches reach the shard sketches —
-            ``"pickle"`` ships arrays through executor pipes (the legacy
-            path, always available), ``"shm"`` copies each batch once
+        transport: how flush batches reach process workers — it only
+            moves bytes.  ``"pickle"`` ships arrays through the executor
+            pipes (always available); ``"shm"`` copies each batch once
             into a fixed-slot shared-memory ring and ships only slot
-            descriptors, applying through the columnar kernel
-            (:func:`repro.core.batch.apply_columnar`; bit-identical
-            results).  The default reads ``REPRO_TRANSPORT`` from the
+            descriptors.  Every executor and transport applies batches
+            through the same frame kernel
+            (:func:`repro.core.batch.apply_batch`), so shard state is
+            bit-identical either way; the serial executor ignores this
+            field.  The default reads ``REPRO_TRANSPORT`` from the
             environment (falling back to ``"pickle"``), so CI can run
             whole suites under either transport.
         sketch_kwargs: forwarded to the sketch constructor (``seed``,
@@ -462,7 +464,7 @@ class StreamEngine:
                 f"got {len(shards)} shards for num_shards={config.num_shards}"
             )
         if executor == "serial":
-            self._exec = SerialExecutor(shards, transport=config.transport)
+            self._exec = SerialExecutor(shards)
         elif executor == "process":
             self._exec = ProcessExecutor(
                 shards,

@@ -48,7 +48,6 @@ import traceback
 
 import numpy as np
 
-from repro.core.registry import descriptor_of
 from repro.obs import OBS_DISABLED
 from repro.obs.tracing import span_record
 from repro.persist import save_sketch
@@ -63,9 +62,9 @@ __all__ = ["SerialExecutor", "ProcessExecutor", "DEFAULT_RPC_TIMEOUT_S"]
 
 DEFAULT_RPC_TIMEOUT_S = 30.0
 
-#: flush transports: ``"pickle"`` ships arrays through the pipe (the
-#: legacy path, always available), ``"shm"`` ships slot descriptors into
-#: a shared-memory ring and applies via the columnar kernel
+#: how flush batches reach process workers: ``"pickle"`` ships arrays
+#: through the pipe (always available), ``"shm"`` ships slot descriptors
+#: into a shared-memory ring; both apply through the one frame kernel
 TRANSPORTS = ("pickle", "shm")
 
 #: default ring geometry: slots sized for a few engine flush batches
@@ -98,22 +97,6 @@ def _apply_flush(sketch, keys: np.ndarray, times: np.ndarray, side: int | None) 
         sketch.insert_at(keys, times)
 
 
-def _apply_flush_columnar(
-    sketch, keys: np.ndarray, times: np.ndarray, side: int | None
-) -> None:
-    """Columnar flush apply, routed through the algorithm registry.
-
-    Registered kinds go through ``AlgoDescriptor.apply_columnar`` (the
-    optimised kernel); unregistered custom sketches fall back to the
-    legacy ``insert_at`` path.  Bit-identical either way.
-    """
-    desc = descriptor_of(sketch)
-    if desc is not None:
-        desc.apply_columnar(sketch, keys, times, side)
-    else:
-        _apply_flush(sketch, keys, times, side)
-
-
 def _apply_advance(sketch, t: int, side: int | None) -> None:
     if getattr(sketch, "two_stream", False):
         sketch.advance_to(t, side)
@@ -129,15 +112,8 @@ class SerialExecutor:
     fault-injection wrappers treat both uniformly.
     """
 
-    def __init__(self, shards, *, obs=None, transport: str = "pickle"):
+    def __init__(self, shards, *, obs=None):
         self._shards = list(shards)
-        # the in-process equivalent of the shm transport: no ring is
-        # needed, but flushes apply through the same columnar kernel so
-        # serial and process runs stay bit-identical per transport
-        self.transport = _check_transport(transport)
-        self._apply = (
-            _apply_flush_columnar if transport == "shm" else _apply_flush
-        )
         self.set_obs(obs)
 
     def set_obs(self, obs) -> None:
@@ -191,9 +167,9 @@ class SerialExecutor:
                 shard=shard_id,
                 items=int(keys.size),
             ):
-                self._apply(self._shards[shard_id], keys, times, side)
+                _apply_flush(self._shards[shard_id], keys, times, side)
         else:
-            self._apply(self._shards[shard_id], keys, times, side)
+            _apply_flush(self._shards[shard_id], keys, times, side)
         elapsed = time.perf_counter() - started
         self._h_apply.observe(elapsed)
         self.obs.stages.observe(
@@ -264,49 +240,30 @@ def _worker_main(conn, shards: dict, ring_spec: tuple | None = None) -> None:
         while True:
             cmd, *args = conn.recv()
             try:
-                if cmd == "flush":
-                    sid, keys, times, side, trace = args
-                    if trace is None:
-                        _apply_flush(shards[sid], keys, times, side)
-                        conn.send(("ok", None))
+                if cmd in ("flush", "flush_shm"):
+                    if cmd == "flush":
+                        sid, keys, times, side, trace = args
                     else:
-                        # the cross-process half of a flush trace: time
-                        # the sketch apply here and ship the span back
-                        # on the acknowledgement for the parent's ring
-                        t0 = time.perf_counter()
-                        _apply_flush(shards[sid], keys, times, side)
-                        dur_ms = (time.perf_counter() - t0) * 1e3
-                        conn.send((
-                            "ok",
-                            span_record(
-                                "worker.apply", trace[0], trace[1],
-                                t0, dur_ms,
-                                shard=sid, items=int(keys.size),
-                            ),
-                        ))
-                elif cmd == "flush_shm":
-                    sid, slot, n, side, trace = args
-                    keys = ring.keys_view(slot, n)
-                    times = ring.times_view(slot, n)
-                    if trace is None:
-                        _apply_flush_columnar(shards[sid], keys, times, side)
-                        # drop the slot views so they never pin the
-                        # ring's mapping past this batch
-                        keys = times = None
-                        conn.send(("ok", None))
-                    else:
-                        t0 = time.perf_counter()
-                        _apply_flush_columnar(shards[sid], keys, times, side)
-                        dur_ms = (time.perf_counter() - t0) * 1e3
-                        keys = times = None
-                        conn.send((
-                            "ok",
-                            span_record(
-                                "worker.apply", trace[0], trace[1],
-                                t0, dur_ms,
-                                shard=sid, items=int(n),
-                            ),
-                        ))
+                        sid, slot, n, side, trace = args
+                        keys = ring.keys_view(slot, n)
+                        times = ring.times_view(slot, n)
+                    t0 = time.perf_counter()
+                    _apply_flush(shards[sid], keys, times, side)
+                    dur_ms = (time.perf_counter() - t0) * 1e3
+                    items = int(keys.size)
+                    # drop any slot views so they never pin the ring's
+                    # mapping past this batch
+                    keys = times = None
+                    # the cross-process half of a flush trace: the
+                    # apply span rides back on the acknowledgement for
+                    # the parent's ring
+                    conn.send((
+                        "ok",
+                        None if trace is None else span_record(
+                            "worker.apply", trace[0], trace[1],
+                            t0, dur_ms, shard=sid, items=items,
+                        ),
+                    ))
                 elif cmd == "advance":
                     sid, t, side = args
                     _apply_advance(shards[sid], t, side)
@@ -354,10 +311,10 @@ class ProcessExecutor:
             pre-fault-tolerance behaviour).  Enforced with
             ``conn.poll``, so a wedged worker costs at most one
             deadline, never a hang.
-        transport: ``"pickle"`` ships arrays through the pipes (legacy
-            path); ``"shm"`` ships slot descriptors into a shared-memory
-            ring — pipes stay the control plane — and workers apply
-            through the columnar kernel.  Falls back to pickle per batch
+        transport: ``"pickle"`` ships arrays through the pipes;
+            ``"shm"`` ships slot descriptors into a shared-memory ring —
+            pipes stay the control plane.  Either way the worker applies
+            the batch through ``insert_at``.  Falls back to pickle per batch
             when a batch outgrows a slot or the ring is exhausted, and
             wholesale when shared memory is unavailable.
         ring_slot_items: slot capacity (items) of the shm ring; size it
@@ -585,7 +542,7 @@ class ProcessExecutor:
 
     def _make_flush(self, shard_id, keys, times, side, trace):
         """Build one flush message: a slot descriptor when the shm ring
-        can carry the batch, else the legacy pickled-array message.
+        can carry the batch, else the pickled-array message.
 
         Returns ``(message, slot)``; the caller owns releasing a
         non-``None`` slot once the batch is acknowledged or failed.

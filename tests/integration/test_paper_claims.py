@@ -137,10 +137,18 @@ class TestThroughputOrdering:
         from repro.fixed import Bitmap
         from repro.metrics import measure_throughput
 
-        trace = _trace(11)
-        she = measure_throughput(SheBitmap(SCALE.window, 1 << 13), trace)
-        ideal = measure_throughput(Bitmap(1 << 13), trace)
-        assert she.mips > ideal.mips / 5
+        # a single ~1 ms timing swings by more than 5x under machine
+        # load: time a longer trace and keep each side's best of k
+        trace = caida_like(
+            8 * SCALE.stream_items, 2 * SCALE.window, seed=11
+        ).items
+
+        def best_mips(make, k=5):
+            return max(measure_throughput(make(), trace).mips for _ in range(k))
+
+        she = best_mips(lambda: SheBitmap(SCALE.window, 1 << 13))
+        ideal = best_mips(lambda: Bitmap(1 << 13))
+        assert she > ideal / 5
 
     def test_she_hll_faster_than_shll(self):
         from repro.baselines import SlidingHyperLogLog

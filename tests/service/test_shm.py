@@ -22,7 +22,6 @@ from repro.service import (
     ChaosExecutor,
     EngineConfig,
     ProcessExecutor,
-    SerialExecutor,
     ShardDeadError,
     ShardError,
     StreamEngine,
@@ -301,7 +300,3 @@ class TestConfig:
         conf = cfg("shm")
         back = EngineConfig.from_json(conf.to_json())
         assert back.transport == "shm"
-
-    def test_serial_executor_validates_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            SerialExecutor([SheCountMin(256, 512, seed=7)], transport="nope")
