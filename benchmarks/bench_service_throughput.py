@@ -31,23 +31,6 @@ Durability modes:
   failing when logging overhead blows its bound.  Results merge into
   ``BENCH_service.json`` under ``wal_overhead``.
 
-Transport modes:
-
-* ``pytest benchmarks/bench_service_throughput.py --transport shm``
-  runs the process-executor rows over the shared-memory data plane
-  (``EngineConfig(transport="shm")``) instead of pickled pipes.
-* ``python benchmarks/bench_service_throughput.py --check-transport``
-  is the CI gate: shm vs pickle throughput measured in adjacent pairs
-  (see :func:`check_transport` for the methodology), failing when the
-  zero-copy path falls behind pickled pipes.  Both transports apply
-  through the same frame kernel, so the ratio credits the transport
-  alone.  Results merge into ``BENCH_service.json`` under
-  ``transport``.
-* ``python benchmarks/bench_service_throughput.py --transport-grid``
-  measures pickle vs shm on the process executor across flush sizes
-  and worker counts (no gate), merging the rows into
-  ``BENCH_service.json`` under ``transport_grid``.
-
 Kernel mode:
 
 * ``python benchmarks/bench_service_throughput.py --check-kernel`` is
@@ -88,13 +71,12 @@ def _stream(n_items: int = N_ITEMS):
 
 
 def _engine_mips(stream, shards, executor, num_workers=None, obs=False,
-                 wal="off", transport="pickle", flush_batch_size=CHUNK):
+                 wal="off", flush_batch_size=CHUNK):
     """Ingest Mips for one engine configuration.
 
     ``wal`` is ``"off"`` (no log) or a fsync policy (``"interval"`` /
     ``"always"``); WAL runs log into a throwaway temp directory so the
-    measurement includes the real write(+fsync) path.  ``transport``
-    selects the flush data plane (``"pickle"`` / ``"shm"``).
+    measurement includes the real write(+fsync) path.
     """
     with tempfile.TemporaryDirectory(prefix="bench-wal-") as td:
         extra = {}
@@ -107,7 +89,6 @@ def _engine_mips(stream, shards, executor, num_workers=None, obs=False,
             num_shards=shards,
             flush_batch_size=flush_batch_size,
             flush_interval_s=None,
-            transport=transport,
             sketch_kwargs={"seed": 7},
             **extra,
         )
@@ -196,10 +177,9 @@ def _merge_bench_json(section: str, value) -> None:
 def _write_bench_json(rows, obs_mode, extra=None, n_items=N_ITEMS) -> None:
     """Persist the machine-readable perf trajectory at the repo root.
 
-    ``rows`` are ``(name, shards, transport, mips)``; every row carries
-    the transport it was measured under so trajectories under different
-    data planes never get compared silently.  Sections other check
-    modes merged in (``transport``, ``windowed_overhead``,
+    ``rows`` are ``(name, shards, mips)``, stamped with the
+    machine/build fingerprint they were measured on.  Sections other
+    check modes merged in (``kernel``, ``windowed_overhead``,
     ``wal_overhead``) are preserved, so the check order does not matter.
     """
     path = _REPO_ROOT / "BENCH_service.json"
@@ -211,14 +191,10 @@ def _write_bench_json(rows, obs_mode, extra=None, n_items=N_ITEMS) -> None:
         "window": WINDOW,
         "size": SIZE,
         "best_of": BEST_OF,
+        "fingerprint": _fingerprint(),
         "rows": [
-            {
-                "configuration": name,
-                "shards": shards,
-                "transport": transport,
-                "mips": round(mips, 3),
-            }
-            for name, shards, transport, mips in rows
+            {"configuration": name, "shards": shards, "mips": round(mips, 3)}
+            for name, shards, mips in rows
         ],
     })
     if extra:
@@ -226,9 +202,7 @@ def _write_bench_json(rows, obs_mode, extra=None, n_items=N_ITEMS) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def test_service_throughput(
-    benchmark, results_dir, obs_mode, wal_mode, transport_mode
-):
+def test_service_throughput(benchmark, results_dir, obs_mode, wal_mode):
     from conftest import emit  # pytest-only helper; keeps --check-obs stdlib
 
     stream = _stream()
@@ -243,15 +217,14 @@ def test_service_throughput(
             ).mips
             for _ in range(BEST_OF)
         )
-        rows.append(("single sketch", "-", "-", base))
+        rows.append(("single sketch", "-", base))
         for shards in (1, 2, 4, 8):
             rows.append(
                 (
                     f"engine serial x{shards}",
                     shards,
-                    transport_mode,
                     _best_engine_mips(stream, shards, "serial", obs=obs,
-                                      wal=wal_mode, transport=transport_mode),
+                                      wal=wal_mode),
                 )
             )
         for shards in (2, 4):
@@ -259,10 +232,9 @@ def test_service_throughput(
                 (
                     f"engine process x{shards}",
                     shards,
-                    transport_mode,
                     _best_engine_mips(
                         stream, shards, "process", num_workers=shards,
-                        obs=obs, wal=wal_mode, transport=transport_mode,
+                        obs=obs, wal=wal_mode,
                     ),
                 )
             )
@@ -271,18 +243,16 @@ def test_service_throughput(
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
     header = (
-        f"{'configuration':<24} {'shards':>6} {'transport':>9} {'Mips':>8}"
+        f"{'configuration':<24} {'shards':>6} {'Mips':>8}"
         f"   (obs {obs_mode}, wal {wal_mode}, best of {BEST_OF})"
     )
     lines = [header, "-" * len(header)]
-    for name, shards, transport, mips in rows:
-        lines.append(
-            f"{name:<24} {shards!s:>6} {transport:>9} {mips:>8.2f}"
-        )
+    for name, shards, mips in rows:
+        lines.append(f"{name:<24} {shards!s:>6} {mips:>8.2f}")
     emit(results_dir, "bench_service", "\n".join(lines) + "\n")
     _write_bench_json(rows, obs_mode, extra={"wal_mode": wal_mode})
 
-    by = {name: mips for name, _, _, mips in rows}
+    by = {name: mips for name, _, mips in rows}
     # the serving layer must stay within a small factor of the raw sketch
     assert by["engine serial x1"] > by["single sketch"] / 5
     # sharding in-process must not collapse throughput
@@ -334,8 +304,8 @@ def check_obs_overhead(
             "below the noise floor, reported as 0"
         )
     rows = [
-        (f"engine serial x{shards} (obs off)", shards, "pickle", off),
-        (f"engine serial x{shards} (obs on)", shards, "pickle", on),
+        (f"engine serial x{shards} (obs off)", shards, off),
+        (f"engine serial x{shards} (obs on)", shards, on),
     ]
     _write_bench_json(
         rows,
@@ -441,6 +411,7 @@ def check_windowed_overhead(
             "noise floor, reported as 0"
         )
     _merge_bench_json("windowed_overhead", {
+        "fingerprint": _fingerprint(),
         "n_items": n_items,
         "shards": shards,
         "trials": trials,
@@ -495,6 +466,7 @@ def check_wal_overhead(
             f"(overhead {overhead[mode]:.2f}%)"
         )
     _merge_bench_json("wal_overhead", {
+        "fingerprint": _fingerprint(),
         "n_items": n_items,
         "shards": shards,
         "trials": trials,
@@ -516,140 +488,6 @@ def check_wal_overhead(
     if rc == 0:
         print("OK")
     return rc
-
-
-def check_transport(
-    n_items: int = N_ITEMS, shards: int = 4, trials: int = 5,
-    min_ratio: float = 0.8,
-) -> int:
-    """CI gate mode: shm vs pickle flush throughput on the process pool.
-
-    The gated number is a *ratio*, so the methodology differs from the
-    other check modes: machine-wide load on a shared CI box drifts
-    between runs, and drift that hits only one side of the quotient
-    shows up as gate noise.  The two transports are therefore measured
-    in adjacent pairs (pickle then shm, back to back) after one
-    unmeasured warmup pair, and the gate takes the best per-pair ratio
-    — load drift that is slow relative to one pair cancels out of the
-    quotient.
-
-    Both transports apply batches through the same frame kernel, so
-    the ratio prices the data plane alone.  Over 20 measured pairs (4
-    runs of 5) on a 2-vCPU container the per-pair ratio read 0.66-1.34
-    and each run's best 1.01-1.34; the gate sits at 0.8x, so it fails
-    when shm is a clear net cost over pickled pipes in every pair, not
-    when it merely stops paying.  The kernel's own speed is gated by
-    :func:`check_kernel`.  Results merge into
-    ``BENCH_service.json`` under ``transport`` with one row per
-    transport plus the per-pair ratios.
-    """
-    trials = max(trials, 5)
-    stream = _stream(n_items)
-    for mode in ("pickle", "shm"):  # warmup pair: spawn pools, fault pages
-        _engine_mips(stream, shards, "process", num_workers=shards, transport=mode)
-    runs: dict[str, list[float]] = {"pickle": [], "shm": []}
-    ratios: list[float] = []
-    for _ in range(trials):
-        pair = {}
-        for mode in ("pickle", "shm"):
-            pair[mode] = _engine_mips(
-                stream, shards, "process", num_workers=shards,
-                transport=mode,
-            )
-            runs[mode].append(pair[mode])
-        ratios.append(pair["shm"] / pair["pickle"])
-    best = {mode: max(vals) for mode, vals in runs.items()}
-    ratio = max(ratios)
-    for mode in ("pickle", "shm"):
-        print(
-            f"process x{shards}, transport {mode:<7} {best[mode]:.2f} Mips "
-            f"(best of {trials})"
-        )
-    print(
-        "shm/pickle per-pair ratios: "
-        + " ".join(f"{r:.2f}" for r in ratios)
-        + f"  -> best {ratio:.2f}x  (gate >= {min_ratio}x)"
-    )
-    _merge_bench_json("transport", {
-        "n_items": n_items,
-        "shards": shards,
-        "trials": trials,
-        "methodology": (
-            "adjacent pickle/shm pairs after one warmup pair; "
-            "gate on best per-pair ratio; one frame kernel on both sides"
-        ),
-        "fingerprint": _fingerprint(),
-        "rows": [
-            {
-                "configuration": f"engine process x{shards}",
-                "shards": shards,
-                "transport": mode,
-                "mips": round(best[mode], 3),
-                "mips_runs": [round(x, 3) for x in runs[mode]],
-            }
-            for mode in ("pickle", "shm")
-        ],
-        "ratio_runs": [round(r, 3) for r in ratios],
-        "shm_over_pickle": round(ratio, 3),
-        "min_ratio": min_ratio,
-    })
-    if ratio < min_ratio:
-        print(
-            f"FAIL: shm transport is only {ratio:.2f}x the pickle "
-            f"baseline (gate >= {min_ratio}x)"
-        )
-        return 1
-    print("OK")
-    return 0
-
-
-def transport_grid(
-    n_items: int = N_ITEMS,
-    flush_sizes=(1024, 8192, 32768),
-    workers=(2, 4),
-    best_of: int = BEST_OF,
-) -> int:
-    """Pickle vs shm on the process executor across flush sizes and
-    worker counts (one shard per worker).  Evidence, not a gate: each
-    cell runs the two transports in adjacent pairs and keeps the best
-    of ``best_of``; every row carries the machine/build fingerprint.
-    """
-    stream = _stream(n_items)
-    fp = _fingerprint()
-    rows = []
-    for w in workers:
-        for fb in flush_sizes:
-            runs: dict[str, list[float]] = {"pickle": [], "shm": []}
-            for _ in range(best_of):
-                for mode in runs:
-                    runs[mode].append(_engine_mips(
-                        stream, w, "process", num_workers=w,
-                        transport=mode, flush_batch_size=fb,
-                    ))
-            for mode, vals in runs.items():
-                rows.append({
-                    "executor": "process",
-                    "workers": w,
-                    "flush_batch_size": fb,
-                    "transport": mode,
-                    "mips": round(max(vals), 3),
-                    "mips_runs": [round(x, 3) for x in vals],
-                    **fp,
-                })
-            print(
-                f"process x{w} flush {fb:>6}: pickle "
-                f"{max(runs['pickle']):.2f}  shm {max(runs['shm']):.2f} Mips"
-            )
-    _merge_bench_json("transport_grid", {
-        "n_items": n_items,
-        "best_of": best_of,
-        "methodology": (
-            "adjacent pickle/shm pairs per cell; best of best_of; "
-            "one shard per worker"
-        ),
-        "rows": rows,
-    })
-    return 0
 
 
 def check_kernel(
@@ -720,16 +558,9 @@ if __name__ == "__main__":
         sys.exit(rc if rc else check_windowed_overhead(n_items=200_000))
     if "--check-wal" in sys.argv:
         sys.exit(check_wal_overhead(n_items=200_000))
-    if "--check-transport" in sys.argv:
-        # 400k items: long enough runs that shm throughput is stable
-        # (short ~0.1s runs swing +-20% under ambient load)
-        sys.exit(check_transport(n_items=400_000))
     if "--check-kernel" in sys.argv:
         sys.exit(check_kernel(n_items=400_000))
-    if "--transport-grid" in sys.argv:
-        sys.exit(transport_grid(n_items=400_000))
     sys.exit(
         "usage: python bench_service_throughput.py "
-        "--check-obs | --check-wal | --check-transport | --check-kernel "
-        "| --transport-grid"
+        "--check-obs | --check-wal | --check-kernel"
     )

@@ -160,12 +160,16 @@ class DriftMonitor:
 
         For two-stream engines only side-0 batches feed the estimators
         (side 1 is the comparison exchange, not the monitored stream).
+        Only the arrivals the engine admitted are tapped: keys turned
+        away by ``shed_newest`` never tick the engine's clock, so they
+        must not tick the estimators' either.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        self.engine.ingest(keys, side=side)
+        admitted = self.engine.ingest(
+            np.asarray(keys, dtype=np.uint64), side=side
+        )
         if side in (None, 0):
             for est in self.estimators.values():
-                est.observe(keys)
+                est.observe(admitted)
         self.maybe_evaluate()
 
     def tick(self) -> None:

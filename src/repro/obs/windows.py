@@ -284,15 +284,12 @@ class ExemplarReservoir:
 
 # -- stage-level latency attribution ------------------------------------------
 
-#: the engine hot path, in pipeline order (``shm_acquire`` /
-#: ``shm_release`` only fire under the shared-memory transport)
+#: the engine hot path, in pipeline order
 ENGINE_STAGES = (
     "admit",
     "wal_append",
     "stamp",
-    "shm_acquire",
     "flush_rpc",
-    "shm_release",
     "apply",
     "query_fanin",
 )

@@ -51,7 +51,6 @@ distributed sliding-window monitors:
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -72,7 +71,7 @@ from repro.service.errors import (
     ShardTimeoutError,
     ShardUnrecoverableError,
 )
-from repro.service.executor import TRANSPORTS, ProcessExecutor, SerialExecutor
+from repro.service.executor import ProcessExecutor, SerialExecutor
 from repro.service.sharding import DEFAULT_SHARD_SEED, shard_ids, shard_of
 from repro.service.stats import EngineStats, format_stats
 from repro.service.wal import WAL_FSYNC_POLICIES, WriteAheadLog
@@ -167,17 +166,6 @@ class EngineConfig:
             cache only).  See docs/service.md "Durability model".
         wal_fsync_interval_s: max fsync staleness for ``"interval"``.
         wal_segment_bytes: WAL segment rotation size.
-        transport: how flush batches reach process workers — it only
-            moves bytes.  ``"pickle"`` ships arrays through the executor
-            pipes (always available); ``"shm"`` copies each batch once
-            into a fixed-slot shared-memory ring and ships only slot
-            descriptors.  Every executor and transport applies batches
-            through the same frame kernel
-            (:func:`repro.core.batch.apply_batch`), so shard state is
-            bit-identical either way; the serial executor ignores this
-            field.  The default reads ``REPRO_TRANSPORT`` from the
-            environment (falling back to ``"pickle"``), so CI can run
-            whole suites under either transport.
         sketch_kwargs: forwarded to the sketch constructor (``seed``,
             ``alpha``, ``num_hashes``, ``frame``, ...).
     """
@@ -199,9 +187,6 @@ class EngineConfig:
     wal_fsync: str = "always"
     wal_fsync_interval_s: float = 1.0
     wal_segment_bytes: int = 64 * 1024 * 1024
-    transport: str = field(default_factory=lambda: os.environ.get(
-        "REPRO_TRANSPORT", "pickle"
-    ))
     sketch_kwargs: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -248,11 +233,6 @@ class EngineConfig:
                 f"got {self.wal_fsync_interval_s}"
             )
         require_positive_int("wal_segment_bytes", self.wal_segment_bytes)
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
 
     @property
     def bounded(self) -> bool:
@@ -262,6 +242,13 @@ class EngineConfig:
             or self.max_buffered_total is not None
             or self.down_retention_items is not None
         )
+
+    @property
+    def transport(self) -> str:
+        """How flush batches reach process workers: always ``"pickle"``
+        (``(keys, times)`` over the executor pipes).  Read-only; kept so
+        build fingerprints that record it stay stable."""
+        return "pickle"
 
     def descriptor(self):
         """The registered :class:`~repro.core.registry.AlgoDescriptor`."""
@@ -276,8 +263,11 @@ class EngineConfig:
 
         Unknown keys raise a :class:`ValueError` naming them — a config
         from a newer version (or a typo) should fail loudly, not as an
-        opaque ``TypeError`` from the dataclass constructor.
+        opaque ``TypeError`` from the dataclass constructor.  The one
+        exception is ``transport``, which older manifests stored when
+        the flush data plane was selectable; it is dropped.
         """
+        data = {k: v for k, v in data.items() if k != "transport"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -470,8 +460,6 @@ class StreamEngine:
                 shards,
                 num_workers=num_workers,
                 timeout_s=config.rpc_timeout_s,
-                transport=config.transport,
-                ring_slot_items=max(4 * config.flush_batch_size, 32768),
             )
         elif callable(executor):
             self._exec = executor(shards)
@@ -622,7 +610,7 @@ class StreamEngine:
 
     # -- ingestion -----------------------------------------------------------
 
-    def ingest(self, keys, side: int | None = None) -> None:
+    def ingest(self, keys, side: int | None = None) -> np.ndarray:
         """Buffer a batch of arrivals at consecutive union-stream times.
 
         ``side`` selects the stream for two-stream (MH) engines and must
@@ -635,6 +623,10 @@ class StreamEngine:
         / ``"block"`` policies — and arrivals turned away by
         ``"shed_newest"`` — never advance the clock, so a caller that
         backs off and retries delivers exactly the stream it meant to.
+
+        Returns the admitted keys in arrival order (the ``uint64``
+        arrivals that received clock ticks) — the whole batch unless
+        ``"shed_newest"`` turned some away.
         """
         self._check_open()
         if self._two_stream:
@@ -645,7 +637,7 @@ class StreamEngine:
         side = 0 if side is None else side
         arr = as_key_array(keys)
         if arr.size == 0:
-            return
+            return arr
         n_offered = int(arr.size)
         sids = shard_ids(arr, self.config.num_shards, self.config.shard_seed)
         # stage timing (repro.obs.windows): zero-cost when telemetry is
@@ -733,6 +725,7 @@ class StreamEngine:
         if self.config.bounded and self.config.overload_policy == "shed_oldest":
             self._enforce_caps_shed_oldest(side)
         self._maybe_flush()
+        return arr
 
     # -- admission control ---------------------------------------------------
 

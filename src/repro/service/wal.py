@@ -625,8 +625,8 @@ def replay_into(engine, start: WalPosition | None = None) -> int:
     items replayed.
 
     Records are already columnar on disk (one side byte, then the keys
-    as little-endian ``uint64`` — the same key column the shm transport
-    ships), so consecutive same-side records are concatenated into
+    as little-endian ``uint64`` — the same key column a flush batch
+    ships to a worker), so consecutive same-side records are concatenated into
     batches of up to :data:`REPLAY_COALESCE_ITEMS` before ingesting.
     This is exact: replay skips admission, and stamping consecutive
     arrivals assigns the same union-stream times whether they arrive

@@ -140,6 +140,27 @@ class TestSuppression:
         assert mon.detector.alarm_count >= 1
         assert mon.last_coverage["degraded"] is False
 
+    def test_shed_arrivals_never_reach_the_estimators(self):
+        """Estimators observe only admitted batches, so their clocks stay
+        on the engine's union-stream clock when ``shed_newest`` sheds."""
+        cfg = EngineConfig(
+            "cm", window=4096, size=1024, num_shards=4,
+            max_buffered_items=256, overload_policy="shed_newest",
+            flush_interval_s=None, sketch_kwargs={"seed": 3},
+        )
+        with StreamEngine(cfg) as eng:
+            eng._down.add(0)  # its buffer fills; later arrivals are shed
+            mon = DriftMonitor(eng)
+            rng = np.random.default_rng(1)
+            for _ in range(20):
+                mon.ingest(rng.integers(0, 5000, size=512, dtype=np.uint64))
+            assert eng.stats_snapshot()["items_shed"] > 0
+            t = eng.now(0)
+            assert t < 20 * 512
+            assert mon.estimators["jaccard"]._mh.counts[0] == t
+            assert mon.estimators["cardinality"]._live.t == t
+            assert mon.estimators["frequency"]._live.t == t
+
     def test_suppress_degraded_off_lets_alarms_fire(self, engine):
         mon = make_monitor(engine, suppress_degraded=False)
         rng = np.random.default_rng(7)

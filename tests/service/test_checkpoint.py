@@ -83,6 +83,30 @@ class TestKillAndRecover:
         back = recover_engine(tmp_path)
         assert back.frequency(9) >= 17
 
+    def test_recover_manifest_with_legacy_transport_key(self, tmp_path, stream):
+        """Manifests from when the flush data plane was selectable store
+        ``"transport"`` in their config; they must still recover."""
+        from repro.service.wal import checksum
+
+        eng = cm_engine()
+        eng.ingest(stream)
+        probes = np.unique(stream)[:300]
+        before = eng.frequency_many(probes)
+        path = save_checkpoint(eng, tmp_path)
+        eng.close()
+        manifest = path / "MANIFEST.json"
+        meta = json.loads(manifest.read_text())
+        del meta["manifest_crc"]
+        meta["config"]["transport"] = "shm"
+        crc, variant = checksum(json.dumps(meta, sort_keys=True).encode())
+        meta["manifest_crc"] = {"crc": crc, "variant": variant}
+        manifest.write_text(json.dumps(meta, indent=2))
+
+        back = recover_engine(tmp_path)
+        assert back.now() == stream.size
+        assert back.config.transport == "pickle"
+        assert np.array_equal(back.frequency_many(probes), before)
+
     def test_recover_empty_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             recover_engine(tmp_path)

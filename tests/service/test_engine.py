@@ -376,6 +376,30 @@ class TestEngineConfigJson:
             EngineConfig.from_json(data)
         assert "num_shards" in str(exc.value)
 
+    def test_legacy_transport_key_is_dropped(self):
+        data = EngineConfig("bm", window=256, size=512).to_json()
+        assert "transport" not in data
+        # older builds stored the flush data plane; most manifests
+        # carry the default
+        data["transport"] = "pickle"
+        assert EngineConfig.from_json(data) == EngineConfig(
+            "bm", window=256, size=512
+        )
+        data["typo"] = 1  # every other unknown key still fails loudly
+        with pytest.raises(ValueError, match="typo"):
+            EngineConfig.from_json(data)
+
+    def test_transport_is_a_read_only_constant(self):
+        import dataclasses
+
+        cfg = EngineConfig("bm", window=256, size=512)
+        assert cfg.transport == "pickle"
+        assert "transport" not in {f.name for f in dataclasses.fields(cfg)}
+        with pytest.raises(TypeError):
+            EngineConfig("bm", window=256, size=512, transport="pickle")
+        with pytest.raises(AttributeError):
+            cfg.transport = "pickle"
+
     def test_unregistered_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             EngineConfig.from_json(

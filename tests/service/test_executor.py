@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import SheCountMin
+from repro.core.registry import descriptor_of
 from repro.service import (
     EngineConfig,
     ProcessExecutor,
@@ -33,6 +34,15 @@ def cfg(kind="cm", **kw):
     return EngineConfig(kind, **base)
 
 
+def _shard_states(engine):
+    """Per-shard ``(meta, arrays)``: cells, marks and the shard clock."""
+    out = []
+    for sketch in engine.snapshots():
+        desc = descriptor_of(sketch)
+        out.append(desc.to_state(desc, sketch))
+    return out
+
+
 class TestProcessEquivalence:
     def test_frequency_identical_to_serial(self, stream):
         with StreamEngine(cfg(), executor="process", num_workers=2) as proc:
@@ -55,6 +65,40 @@ class TestProcessEquivalence:
             assert np.array_equal(
                 proc.merged().frame.cells, serial.merged().frame.cells
             )
+
+    def test_full_shard_state_bit_identical_to_serial(self, stream):
+        states, answers = {}, {}
+        probes = np.unique(stream)[:200]
+        for executor in ("serial", "process"):
+            with StreamEngine(cfg(), executor=executor, num_workers=2) as eng:
+                for lo in range(0, stream.size, 2048):
+                    eng.ingest(stream[lo:lo + 2048])
+                eng.flush()
+                states[executor] = _shard_states(eng)
+                answers[executor] = eng.frequency_many(probes)
+        assert np.array_equal(answers["process"], answers["serial"])
+        for (got_meta, got), (want_meta, want) in zip(
+            states["process"], states["serial"]
+        ):
+            assert got_meta == want_meta  # includes the shard clock
+            assert set(got) == set(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_two_stream_similarity_identical_to_serial(self):
+        left = np.random.default_rng(9).integers(0, 300, 6000, dtype=np.uint64)
+        right = np.random.default_rng(10).integers(0, 300, 6000, dtype=np.uint64)
+        conf = cfg("mh", window=1024, size=64, num_shards=2,
+                   flush_batch_size=500, sketch_kwargs={"seed": 5})
+        sims = {}
+        for executor in ("serial", "process"):
+            with StreamEngine(conf, executor=executor) as eng:
+                for lo in range(0, 6000, 1500):
+                    eng.ingest(left[lo:lo + 1500], side=0)
+                    eng.ingest(right[lo:lo + 1500], side=1)
+                eng.flush()
+                sims[executor] = eng.similarity()
+        assert sims["process"] == sims["serial"]
 
     def test_checkpoint_and_recover_through_workers(self, tmp_path, stream):
         with StreamEngine(cfg(), executor="process", num_workers=3) as proc:
